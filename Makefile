@@ -124,7 +124,7 @@ bench-shard-full:
 
 # bench-durable is the CI durability gate: the same transfer workload
 # committed through the in-memory WAL model and the file-backed segmented
-# WAL (real fsync-batched group commit) across a 10/100/1k/10k object
+# WAL (real fsync-batched group commit) across a 10/100/1k/10k/100k object
 # ladder, gated by benchguard against the committed BENCH_durable.json.
 # The mem rows pin the no-I/O commit path; the file rows pin the
 # group-commit fsync path and cold-recovery scan — a file row collapsing
@@ -158,11 +158,14 @@ bench-replication-full:
 # conflict engine's memoised exact tier must be indistinguishable from the
 # unmemoised search, the WAL frame decoder must turn arbitrary segment
 # damage into a clean torn-tail trim or ErrCorrupt — never a panic or a
-# silent misparse — and every ADT state decoder must reject corrupt
+# silent misparse — the WAL record decoder must turn any checksum-valid
+# payload into ErrCorrupt, a missing-spec error or a record that
+# round-trips, and every ADT state decoder must reject corrupt
 # checkpoint bytes cleanly or produce a state that round-trips.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzExactMemo -fuzztime=30s ./internal/conflict
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=30s ./internal/recovery
+	$(GO) test -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=30s ./internal/recovery
 	$(GO) test -run='^$$' -fuzz=FuzzStateDecode -fuzztime=30s ./internal/adts
 
 clean:

@@ -25,7 +25,7 @@ func durable(sc scale) bool {
 	fmt.Fprintf(tout, "%-14s %8s %12s %12s %12s %12s\n",
 		"backend", "objects", "commit/s", "xfer/s", "retry/commit", "recovery")
 	okAll := true
-	for _, objects := range []int{10, 100, 1000, 10000} {
+	for _, objects := range []int{10, 100, 1000, 10000, 100000} {
 		for bi, backend := range []string{"mem", "file"} {
 			p := sim.BankParams{
 				Accounts:           objects,

@@ -11,15 +11,14 @@ import (
 // "transaction W is waiting for holders H₁…Hₙ"; the detector looks for a
 // cycle through the new edges and, if it finds one, dooms the youngest
 // transaction in the cycle (the one with the largest birth sequence
-// number). Doomed transactions are woken via the broadcast hooks the
-// objects register and observe their fate through Doomed.
+// number). Doomed transactions are woken via the wake hooks the objects
+// register and observe their fate through Doomed.
 type Detector struct {
-	mu         sync.Mutex
-	waits      map[histories.ActivityID]map[histories.ActivityID]bool
-	seq        map[histories.ActivityID]int64
-	doomed     map[histories.ActivityID]error
-	broadcasts []func()
-	wakes      []func(histories.ActivityID)
+	mu     sync.Mutex
+	waits  map[histories.ActivityID]map[histories.ActivityID]bool
+	seq    map[histories.ActivityID]int64
+	doomed map[histories.ActivityID]error
+	wakes  []func(histories.ActivityID)
 }
 
 // NewDetector returns an empty detector.
@@ -31,22 +30,10 @@ func NewDetector() *Detector {
 	}
 }
 
-// RegisterBroadcast adds a hook the detector calls (outside its lock)
-// whenever it dooms a transaction, so blocked waiters re-examine their
-// state. Broadcast hooks wake every waiter at the registering object;
-// prefer RegisterWake, which lets the object wake only the victim.
-func (d *Detector) RegisterBroadcast(f func()) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.broadcasts = append(d.broadcasts, f)
-}
-
-// RegisterWake adds a targeted hook the detector calls (outside its lock)
-// with each doomed transaction's id. The object hosting that transaction's
-// blocked wait wakes exactly that waiter; every other object's hook is a
-// cheap map miss. This replaces the old doom-time broadcast, under which a
-// single deadlock victim woke every blocked transaction in the system (a
-// thundering herd re-running every guard to no effect).
+// RegisterWake adds a hook the detector calls (outside its lock) with each
+// doomed transaction's id. The object hosting that transaction's blocked
+// wait wakes exactly that waiter; every other object's hook is a cheap map
+// miss, so one deadlock victim never wakes every blocked transaction.
 func (d *Detector) RegisterWake(f func(histories.ActivityID)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -83,22 +70,18 @@ func (d *Detector) Doom(txn histories.ActivityID, reason error) {
 	if d.doomed[txn] == nil {
 		d.doomed[txn] = reason
 	}
-	broadcasts := append([]func(){}, d.broadcasts...)
 	wakes := append([]func(histories.ActivityID){}, d.wakes...)
 	d.mu.Unlock()
-	d.fire(broadcasts, wakes, []histories.ActivityID{txn})
+	fire(wakes, []histories.ActivityID{txn})
 }
 
-// fire runs the wake hooks for each doomed transaction and any legacy
-// broadcast hooks, outside d.mu (hooks re-acquire object locks).
-func (d *Detector) fire(broadcasts []func(), wakes []func(histories.ActivityID), doomed []histories.ActivityID) {
+// fire runs the wake hooks for each doomed transaction. Callers run it
+// outside d.mu: hooks re-acquire object locks.
+func fire(wakes []func(histories.ActivityID), doomed []histories.ActivityID) {
 	for _, txn := range doomed {
 		for _, f := range wakes {
 			f(txn)
 		}
-	}
-	for _, f := range broadcasts {
-		f()
 	}
 }
 
@@ -106,7 +89,7 @@ func (d *Detector) fire(broadcasts []func(), wakes []func(histories.ActivityID),
 // detection, and returns the waiter's doom reason if the waiter itself is
 // (or became) doomed. Victim selection dooms the youngest transaction on
 // the detected cycle; if that victim is not the waiter, the waiter keeps
-// waiting (the victim is woken by broadcast).
+// waiting (the victim is woken by its wake hook).
 func (d *Detector) SetWaiting(waiter histories.ActivityID, holders []histories.ActivityID) error {
 	d.mu.Lock()
 	set := make(map[histories.ActivityID]bool, len(holders))
@@ -136,12 +119,11 @@ func (d *Detector) SetWaiting(waiter histories.ActivityID, holders []histories.A
 		doomedNow = append(doomedNow, victim)
 	}
 	err := d.doomed[waiter]
-	broadcasts := append([]func(){}, d.broadcasts...)
 	wakes := append([]func(histories.ActivityID){}, d.wakes...)
 	d.mu.Unlock()
 
 	if len(doomedNow) > 0 {
-		d.fire(broadcasts, wakes, doomedNow)
+		fire(wakes, doomedNow)
 	}
 	return err
 }

@@ -76,22 +76,22 @@ func TestDetectorVictimElsewhereInCycle(t *testing.T) {
 func TestDetectorBroadcastOnDoom(t *testing.T) {
 	d := NewDetector()
 	called := 0
-	d.RegisterBroadcast(func() { called++ })
+	d.RegisterWake(func(histories.ActivityID) { called++ })
 	d.Register("a", 1)
 	d.Register("b", 2)
 	if err := d.SetWaiting("a", ids("b")); err != nil {
 		t.Fatal(err)
 	}
 	if called != 0 {
-		t.Error("broadcast fired without a doom")
+		t.Error("wake hook fired without a doom")
 	}
 	_ = d.SetWaiting("b", ids("a"))
 	if called == 0 {
-		t.Error("broadcast did not fire on doom")
+		t.Error("wake hook did not fire on doom")
 	}
 	d.Doom("a", cc.ErrDoomed)
 	if called < 2 {
-		t.Error("explicit Doom did not broadcast")
+		t.Error("explicit Doom did not fire the wake hook")
 	}
 	if !errors.Is(d.Doomed("a"), cc.ErrDoomed) {
 		t.Error("explicit doom reason lost")

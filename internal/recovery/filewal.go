@@ -263,11 +263,8 @@ func (w *FileWAL) load() error {
 		seqs = seqs[:len(seqs)-1]
 	}
 
-	for i, seq := range seqs {
-		final := i == len(seqs)-1
-		if err := w.loadSegment(seq, final); err != nil {
-			return err
-		}
+	if err := w.loadSegments(seqs); err != nil {
+		return err
 	}
 
 	// Open (or create) the active segment for appends.
@@ -308,29 +305,40 @@ func (w *FileWAL) isAbortedCheckpoint(seq uint64) (bool, error) {
 	return r.Kind == RecordCheckpoint, nil
 }
 
-// loadSegment decodes one segment into the mirror. In the final segment a
-// torn tail is trimmed — physically truncated — because the write-ahead
-// protocol guarantees no transaction whose records sit past the tear was
-// ever acknowledged. Anywhere else, damage is ErrCorrupt.
-func (w *FileWAL) loadSegment(seq uint64, final bool) error {
-	path := filepath.Join(w.dir, segName(seq))
-	data, err := w.fs.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("recovery: read segment %d: %w", seq, err)
-	}
-	payloads, valid, torn := scanFrames(data)
-	if torn && !final {
-		return fmt.Errorf("%w: segment %d torn at offset %d but is not the final segment", ErrCorrupt, seq, valid)
-	}
-	for _, p := range payloads {
-		r, err := decodeRecord(p, w.specs)
+// loadSegments decodes the segments seqs, in order, into the mirror. All
+// of them are scanned before any record is decoded, so the mirror is
+// allocated once at its final length. In the final segment a torn tail is
+// trimmed — physically truncated — because the write-ahead protocol
+// guarantees no transaction whose records sit past the tear was ever
+// acknowledged. Anywhere else, damage is ErrCorrupt.
+func (w *FileWAL) loadSegments(seqs []uint64) error {
+	payloads := make([][][]byte, len(seqs))
+	total, valid, torn := 0, 0, false
+	for i, seq := range seqs {
+		data, err := w.fs.ReadFile(filepath.Join(w.dir, segName(seq)))
 		if err != nil {
-			return fmt.Errorf("segment %d: %w", seq, err)
+			return fmt.Errorf("recovery: read segment %d: %w", seq, err)
 		}
-		w.records = append(w.records, r)
+		payloads[i], valid, torn = scanFrames(data)
+		if torn && i < len(seqs)-1 {
+			return fmt.Errorf("%w: segment %d torn at offset %d but is not the final segment", ErrCorrupt, seq, valid)
+		}
+		total += len(payloads[i])
+	}
+	w.records = make([]Record, 0, total)
+	for i, seq := range seqs {
+		for _, p := range payloads[i] {
+			r, err := decodeRecord(p, w.specs)
+			if err != nil {
+				return fmt.Errorf("segment %d: %w", seq, err)
+			}
+			w.records = append(w.records, r)
+		}
+		payloads[i] = nil // the segment's bytes are garbage once decoded
 	}
 	if torn {
-		if err := w.fs.Truncate(path, int64(valid)); err != nil {
+		seq := seqs[len(seqs)-1]
+		if err := w.fs.Truncate(filepath.Join(w.dir, segName(seq)), int64(valid)); err != nil {
 			return fmt.Errorf("recovery: trim torn tail of segment %d: %w", seq, err)
 		}
 	}

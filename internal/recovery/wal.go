@@ -320,11 +320,14 @@ func replayHosted(recs []Record, specs map[histories.ObjectID]spec.SerialSpec, i
 	// is irrevocable, and duplicate outcome records (handler racing the
 	// in-doubt resolver) are benign.
 	committed := make(map[histories.ActivityID]bool)
+	intentions := 0
 	for _, r := range recs {
 		if r.Torn {
 			continue
 		}
 		switch r.Kind {
+		case RecordIntentions:
+			intentions++
 		case RecordCommit:
 			committed[r.Txn] = true
 		case RecordCheckpoint:
@@ -333,19 +336,22 @@ func replayHosted(recs []Record, specs map[histories.ObjectID]spec.SerialSpec, i
 			}
 		}
 	}
-	// Pass 2: redo committed intentions at their own log positions.
-	applied := make(map[histories.ActivityID]map[histories.ObjectID]bool)
+	// Pass 2: redo committed intentions at their own log positions, each
+	// (transaction, object) pair at most once.
+	type txnObject struct {
+		txn histories.ActivityID
+		obj histories.ObjectID
+	}
+	applied := make(map[txnObject]bool, intentions)
 	for _, r := range recs {
 		if r.Torn {
 			continue
 		}
 		switch r.Kind {
 		case RecordIntentions:
-			if !committed[r.Txn] || applied[r.Txn][r.Object] {
+			key := txnObject{r.Txn, r.Object}
+			if !committed[r.Txn] || applied[key] {
 				continue
-			}
-			if applied[r.Txn] == nil {
-				applied[r.Txn] = make(map[histories.ObjectID]bool)
 			}
 			switch r.Migrate {
 			case MigrateIn:
@@ -358,14 +364,14 @@ func replayHosted(recs []Record, specs map[histories.ObjectID]spec.SerialSpec, i
 					states[r.Object] = st
 				}
 				hosted[r.Object] = true
-				applied[r.Txn][r.Object] = true
+				applied[key] = true
 				continue
 			case MigrateOut:
 				// The object left this site: its committed state lives at
 				// the new home now.
 				delete(states, r.Object)
 				hosted[r.Object] = false
-				applied[r.Txn][r.Object] = true
+				applied[key] = true
 				continue
 			case ReplicaIn:
 				// Replica-group record at a follower. A seed adopts the
@@ -374,7 +380,7 @@ func replayHosted(recs []Record, specs map[histories.ObjectID]spec.SerialSpec, i
 				// the follower's copy is a read replica, not a home.
 				if st, ok := r.States[r.Object]; ok {
 					states[r.Object] = st
-					applied[r.Txn][r.Object] = true
+					applied[key] = true
 					continue
 				}
 			}
@@ -391,7 +397,7 @@ func replayHosted(recs []Record, specs map[histories.ObjectID]spec.SerialSpec, i
 				return nil, nil, fmt.Errorf("recovery: redo of %s at %s: %w", r.Txn, r.Object, err)
 			}
 			states[r.Object] = next
-			applied[r.Txn][r.Object] = true
+			applied[key] = true
 		case RecordInstalled:
 			// Informational; redo is idempotent because we replay from
 			// initial states in log order.

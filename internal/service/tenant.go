@@ -47,9 +47,8 @@ type tenant struct {
 	opts TenantOptions
 	sys  *weihl83.System
 
-	// mu guards object creation; the object registry itself is
-	// copy-on-write inside the manager, so creation is safe while
-	// transactions run.
+	// mu guards object creation; the manager's object registry is safe
+	// for concurrent use, so creation is safe while transactions run.
 	mu      sync.Mutex
 	objects map[string]bool
 

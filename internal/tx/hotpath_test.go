@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,8 +44,7 @@ func TestSinkStableIdentity(t *testing.T) {
 	}
 }
 
-// TestRegisterAfterWorkersStart: under the copy-on-write registry it is
-// safe to Register a new resource while worker transactions are invoking
+// TestRegisterAfterWorkersStart: it is safe to Register a new resource while worker transactions are invoking
 // concurrently; in-flight and subsequent transactions all commit and the
 // new object is immediately usable. Run with -race.
 func TestRegisterAfterWorkersStart(t *testing.T) {
@@ -107,6 +107,98 @@ func TestRegisterAfterWorkersStart(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+}
+
+// TestRegistryConcurrentRegisterInvoke: Register runs concurrently with
+// Invokes on objects registered before, from several goroutines at once.
+// Every id is claimed by exactly one Register (racing duplicates fail with
+// ErrManagerConfig), and an object is invokable by the first transaction
+// that starts after its Register returns. Run with -race.
+func TestRegistryConcurrentRegisterInvoke(t *testing.T) {
+	det := locking.NewDetector()
+	m, err := tx.NewManager(tx.Config{Property: tx.Dynamic, Detector: det})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(id histories.ObjectID) cc.Resource {
+		o, err := locking.New(locking.Config{
+			ID: id, Type: adts.Account(), Guard: locking.EscrowGuard{}, Detector: det,
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		return o
+	}
+	const early = 4
+	for i := 0; i < early; i++ {
+		if err := m.Register(mk(histories.ObjectID(fmt.Sprintf("early%d", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deposit := func(id histories.ObjectID) error {
+		return m.Run(func(txn *tx.Txn) error {
+			_, err := txn.Invoke(id, adts.OpDeposit, value.Int(1))
+			return err
+		})
+	}
+
+	const invokers, registrars, perRegistrar = 2, 3, 50
+	stop := make(chan struct{})
+	var invokeWG, regWG sync.WaitGroup
+	for w := 0; w < invokers; w++ {
+		invokeWG.Add(1)
+		go func(w int) {
+			defer invokeWG.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := deposit(histories.ObjectID(fmt.Sprintf("early%d", (w+i)%early))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	// Every registrar tries every late id, so each id is raced by all of
+	// them; the winner invokes its object straight away.
+	var wins [perRegistrar]atomic.Int32
+	for g := 0; g < registrars; g++ {
+		regWG.Add(1)
+		go func(g int) {
+			defer regWG.Done()
+			for i := 0; i < perRegistrar; i++ {
+				id := histories.ObjectID(fmt.Sprintf("late%d", (g+i)%perRegistrar))
+				err := m.Register(mk(id))
+				if errors.Is(err, tx.ErrManagerConfig) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				wins[(g+i)%perRegistrar].Add(1)
+				if err := deposit(id); err != nil {
+					t.Errorf("invoke right after registering %s: %v", id, err)
+					return
+				}
+			}
+		}(g)
+	}
+	regWG.Wait()
+	close(stop)
+	invokeWG.Wait()
+
+	for i := range wins {
+		if n := wins[i].Load(); n != 1 {
+			t.Errorf("late%d registered %d times, want exactly once", i, n)
+		}
+	}
+	if err := m.Register(mk("early0")); !errors.Is(err, tx.ErrManagerConfig) {
+		t.Errorf("duplicate register after the run = %v, want ErrManagerConfig", err)
 	}
 }
 

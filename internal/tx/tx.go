@@ -214,8 +214,8 @@ type Config struct {
 
 // Manager coordinates transactions over a set of registered resources.
 //
-// Hot-path design: the resource registry is copy-on-write (Invoke is a
-// lock-free pointer load), the history recorder is sharded
+// Hot-path design: the resource registry is a sync.Map (Register is O(1)
+// and Invoke a lock-free load), the history recorder is sharded
 // (ccrt.Recorder), hybrid commit installation is ordered by a ticket
 // sequencer instead of one mutex held across the whole install, and
 // write-ahead logging goes through a group-commit leader that batches
@@ -224,10 +224,10 @@ type Manager struct {
 	cfg Config
 	seq atomic.Int64
 
-	// resources is the copy-on-write registry: readers (Invoke) load the
-	// current map without locking; Register copies under regMu and swaps.
-	resources atomic.Pointer[map[histories.ObjectID]cc.Resource]
-	regMu     sync.Mutex
+	// resources maps each registered object id to its cc.Resource. Ids
+	// are written once and read on every Invoke, the access pattern
+	// sync.Map is built for.
+	resources sync.Map
 
 	// recorder holds the sharded event history when recording is enabled;
 	// sink is the one stable cc.EventSink handed to every resource.
@@ -270,8 +270,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	(&cfg.Backoff).fill()
 	m := &Manager{cfg: cfg}
-	empty := make(map[histories.ObjectID]cc.Resource)
-	m.resources.Store(&empty)
 	if cfg.Record {
 		m.recorder = ccrt.NewRecorder()
 		m.sink = m.recorder.Emit
@@ -291,23 +289,14 @@ func (m *Manager) Sink() cc.EventSink {
 	return m.sink
 }
 
-// Register adds a resource. Registering two resources with one object id is
-// a configuration error. The registry is copy-on-write, so Register is safe
-// while transactions are running — in-flight Invokes keep reading the old
-// map, and the next lookup sees the new resource.
+// Register adds a resource in constant time. Registering two resources
+// with one object id is a configuration error. Register is safe while
+// transactions are running: the first Invoke that starts after Register
+// returns finds the new resource.
 func (m *Manager) Register(r cc.Resource) error {
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	old := *m.resources.Load()
-	if _, dup := old[r.ObjectID()]; dup {
+	if _, dup := m.resources.LoadOrStore(r.ObjectID(), r); dup {
 		return fmt.Errorf("%w: duplicate resource %s", ErrManagerConfig, r.ObjectID())
 	}
-	next := make(map[histories.ObjectID]cc.Resource, len(old)+1)
-	for id, res := range old {
-		next[id] = res
-	}
-	next[r.ObjectID()] = r
-	m.resources.Store(&next)
 	return nil
 }
 
@@ -423,10 +412,11 @@ func (t *Txn) Invoke(obj histories.ObjectID, op string, arg value.Value) (value.
 	if t.status != StatusActive {
 		return value.Nil(), ErrTxnDone
 	}
-	r, ok := (*t.m.resources.Load())[obj]
+	v, ok := t.m.resources.Load(obj)
 	if !ok {
 		return value.Nil(), fmt.Errorf("%w: %s", ErrNoResource, obj)
 	}
+	r := v.(cc.Resource)
 	if t.readOnly && t.m.cfg.ReadRouter != nil {
 		if routed, cached := t.readRes[obj]; cached {
 			if routed != nil {
