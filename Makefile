@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race chaos chaos-smoke chaos-churn chaos-replication check bench-smoke bench-hotpath bench-guardcascade bench-service bench-service-full bench-shard bench-shard-full bench-durable bench-durable-full bench-replication bench-replication-full fuzz-smoke clean
+.PHONY: all build vet staticcheck test race chaos chaos-smoke chaos-churn chaos-replication hybrid-horizon check bench-smoke bench-hotpath bench-guardcascade bench-service bench-service-full bench-shard bench-shard-full bench-durable bench-durable-full bench-replication bench-replication-full fuzz-smoke clean
 
 all: check
 
@@ -67,6 +67,14 @@ chaos-churn:
 # an orphaned decision never ships its deliveries (DESIGN §14).
 chaos-replication:
 	$(GO) run ./cmd/chaos -property dynamic -replication -seed 1 -runs 5 -checkpoint 2ms
+
+# hybrid-horizon repeats the read-horizon tests under the race detector:
+# version-log pruning, the ticketless sequencer section, and readers
+# registering, aborting and auditing while commits prune. A reader that
+# draws its snapshot timestamp without registering in the same step races
+# only rarely, so one pass is not enough to catch it.
+hybrid-horizon:
+	$(GO) test -race -count=20 -run 'Horizon' ./internal/tx ./internal/ccrt
 
 # bench-smoke compiles and exercises every benchmark once and produces a
 # machine-readable bankbench result at a tiny scale — a fast regression

@@ -54,7 +54,7 @@ func main() {
 		replDrop = flag.Float64("repldrop", 0.2, "follower delivery-drop probability (with -replication)")
 		replCr   = flag.Float64("replcrash", 0.05, "follower apply-window crash probability (with -replication)")
 		replPart = flag.Float64("replpartition", 0.3, "single-site partition probability per tick (with -replication)")
-		audits   = flag.Int("audits", 2, "concurrent snapshot-audit clients (with -replication)")
+		audits   = flag.Int("audits", 2, "concurrent snapshot-audit clients (with -replication, and hybrid)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "wall-clock bound per run")
 		verbose  = flag.Bool("v", false, "dump every run, not just failures")
 	)
@@ -92,6 +92,7 @@ func main() {
 			CoordCrashProb:   *ccrash,
 			PartitionProb:    *part,
 			CheckpointEvery:  *ckpt,
+			AuditWorkers:     *audits,
 		}
 		if *churn {
 			cfg.Churn = true
@@ -108,7 +109,6 @@ func main() {
 			cfg.ReplicaDropProb = *replDrop
 			cfg.ReplicaCrashProb = *replCr
 			cfg.ReplicaPartitionProb = *replPart
-			cfg.AuditWorkers = *audits
 			cfg.Churn, cfg.ChurnProb = false, 0
 			// Replication mode drives its own single-site partition windows
 			// (fault.ReplPartition) and must not orphan commits: an orphaned
@@ -149,12 +149,14 @@ func main() {
 			extra := ""
 			if cfg.Replication {
 				extra = fmt.Sprintf(" audits=%d converged=%v", rep.Audits, rep.Converged)
+			} else if prop == tx.Hybrid {
+				extra = fmt.Sprintf(" audits=%d", rep.Audits)
 			}
 			fmt.Printf("ok   seed=%d property=%s commits=%d aborts=%d crashes=%d balances=%v%s\n",
 				rep.Seed, rep.Property, rep.Commits, rep.Aborts, rep.Crashes, rep.Balances, extra)
-			fmt.Printf("     obs: tx.commit=%d tx.retry=%d locking.waits=%d dist.rpc.retransmits=%d wal.appends=%d fault.fires=%d trace=%d events\n",
+			fmt.Printf("     obs: tx.commit=%d tx.retry=%d cc.locking.conflicts=%d dist.rpc.retransmits=%d wal.appends=%d fault.fires=%d trace=%d events\n",
 				rep.Obs.Counter("tx.commit"), rep.Obs.Counter("tx.retry"),
-				rep.Obs.Counter("locking.waits"), rep.Obs.Counter("dist.rpc.retransmits"),
+				rep.Obs.Counter("cc.locking.conflicts"), rep.Obs.Counter("dist.rpc.retransmits"),
 				rep.Obs.Counter("wal.appends"), rep.Obs.Counter("fault.fires"),
 				rep.Obs.TraceRecorded)
 		}

@@ -111,6 +111,11 @@ type TxnInfo struct {
 	Seq int64
 	// ReadOnly marks hybrid-atomicity read-only activities.
 	ReadOnly bool
+	// Horizon is a hybrid update's read horizon, set with its commit
+	// timestamp: at or below the snapshot timestamp of every read-only
+	// activity that may still read, so versions only older readers could
+	// see may be discarded at commit. Zero means unknown: keep everything.
+	Horizon histories.Timestamp
 	// Participants names the sites taking part in the transaction's
 	// two-phase commit (set by the runtime before prepare when resources
 	// report their site). A participant persists the list with its

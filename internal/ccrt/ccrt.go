@@ -21,7 +21,10 @@
 //     wake-everyone transitions.
 //   - Sequencer (seq.go): the ticket protocol that orders hybrid commit
 //     installation by commit timestamp without one global lock held across
-//     the whole install.
+//     the whole install; its ticketless Do orders hybrid readers'
+//     snapshot-timestamp draws against the commit-timestamp draws.
+//   - VersionLog (versions.go): a hybrid object's committed versions,
+//     pruned at the read horizon of the readers still in flight.
 //   - Recorder (recorder.go): the sharded, sequence-stamped event recorder
 //     behind Manager.Sink, replacing the single-mutex history append.
 //

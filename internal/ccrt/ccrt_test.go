@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"weihl83/internal/adts"
 	"weihl83/internal/ccrt"
@@ -292,5 +293,111 @@ func TestTableDeterministicIteration(t *testing.T) {
 	tb.Delete("t5")
 	if tb.Len() != 2 || tb.Lookup("t5") != nil {
 		t.Fatal("Delete left the entry behind")
+	}
+}
+
+// counterLog returns a version log holding counter states 1..len(ts) at the
+// given ascending timestamps.
+func counterLog(t *testing.T, ts ...histories.Timestamp) *ccrt.VersionLog {
+	t.Helper()
+	s := adts.CounterSpec{}
+	var l ccrt.VersionLog
+	st := s.Init()
+	for i, v := range ts {
+		var err error
+		st, err = ccrt.Replay(st, []spec.Call{{Inv: spec.Invocation{Op: adts.OpIncrement, Arg: value.Nil()}, Result: value.Int(int64(i + 1))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(v, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &l
+}
+
+// TestVersionLogPruneAtHorizon: Prune keeps the newest version below the
+// horizon and every later one, so StateBelow is unchanged for every
+// timestamp at or above the horizon; a zero horizon keeps everything; and
+// Append still demands ascending timestamps afterwards.
+func TestVersionLogPruneAtHorizon(t *testing.T) {
+	init := adts.CounterSpec{}.Init()
+	cases := []struct {
+		name    string
+		horizon histories.Timestamp
+		wantLen int
+	}{
+		{"zero is a no-op", 0, 3},
+		{"below the first version", 5, 3},
+		{"between versions", 25, 2},
+		{"equal to a version", 20, 3},
+		{"equal to the head", 30, 2},
+		{"above the head", 35, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ref, l := counterLog(t, 10, 20, 30), counterLog(t, 10, 20, 30)
+			l.Prune(c.horizon)
+			if l.Len() != c.wantLen {
+				t.Errorf("Len after Prune(%d) = %d, want %d", c.horizon, l.Len(), c.wantLen)
+			}
+			for ts := c.horizon; ts <= 40; ts++ {
+				if got, want := l.StateBelow(ts, init).Key(), ref.StateBelow(ts, init).Key(); got != want {
+					t.Errorf("StateBelow(%d) = %s after Prune(%d), want %s", ts, got, c.horizon, want)
+				}
+			}
+			if got, want := l.Head(init).Key(), ref.Head(init).Key(); got != want {
+				t.Errorf("Head = %s after prune, want %s", got, want)
+			}
+			if err := l.Append(30, init); err == nil {
+				t.Error("Append accepted timestamp 30 at a head of 30 after a prune")
+			}
+			if err := l.Append(31, init); err != nil {
+				t.Errorf("Append(31) after a prune: %v", err)
+			}
+		})
+	}
+	var empty ccrt.VersionLog
+	empty.Prune(10)
+	if empty.Len() != 0 || empty.StateBelow(10, init).Key() != init.Key() {
+		t.Error("Prune of an empty log changed it")
+	}
+}
+
+// TestSequencerDoHorizonSectionIssuesNoTicket: Do runs its closure under
+// the sequencer lock without a ticket, so a ticket reserved after it is
+// served right after the one reserved before it, and Do never waits for
+// the ticket whose turn it is.
+func TestSequencerDoHorizonSectionIssuesNoTicket(t *testing.T) {
+	var s ccrt.Sequencer
+	t0 := s.Reserve()
+	ran := false
+	s.Do(func() { ran = true })
+	t1 := s.Reserve()
+	if !ran {
+		t.Fatal("Do did not run its closure")
+	}
+	s.Wait(t0)
+	done := make(chan struct{})
+	go func() {
+		s.Do(func() {}) // t0 holds the turn; Do must not wait for it
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Do blocked behind the ticket being served")
+	}
+	s.Done(t0)
+	served := make(chan struct{})
+	go func() {
+		s.Wait(t1)
+		s.Done(t1)
+		close(served)
+	}()
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ticket reserved after Do never served: Do left a ticket behind")
 	}
 }

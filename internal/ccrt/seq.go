@@ -39,6 +39,18 @@ type Sequencer struct {
 	waiters   map[int64]chan struct{}
 }
 
+// Do runs fn under the sequencer lock without issuing a ticket: fn is
+// ordered against every ReserveWith's fn, but nothing ever waits for it, so
+// it cannot hold up Wait or Done. Hybrid read-only transactions draw their
+// snapshot timestamp and join the active-reader set in one Do, so no commit
+// timestamp drawn under ReserveWith can miss a reader already holding a
+// smaller timestamp.
+func (s *Sequencer) Do(fn func()) {
+	s.mu.Lock()
+	fn()
+	s.mu.Unlock()
+}
+
 // Reserve issues the next ticket.
 func (s *Sequencer) Reserve() Ticket { return s.ReserveWith(nil) }
 

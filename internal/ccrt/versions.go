@@ -18,6 +18,11 @@ type Version struct {
 // VersionLog is the timestamp-ordered log of committed state snapshots a
 // hybrid-atomicity object serves read-only queries from. Externally locked,
 // like Table and WaitSet.
+//
+// Prune bounds the log by the read horizon: a timestamp at or below the
+// snapshot timestamp of every reader that may still query it. For every
+// ts at or above the horizon, StateBelow(ts) returns the same state before
+// and after the prune.
 type VersionLog struct {
 	versions []Version
 }
@@ -50,6 +55,24 @@ func (l *VersionLog) Head(init spec.State) spec.State {
 		return l.versions[n-1].State
 	}
 	return init
+}
+
+// Prune discards the versions no reader at or above horizon can see: it
+// keeps the newest version below horizon and every version after it. A zero
+// horizon means the readers are unknown and keeps everything. The kept
+// versions are compacted in place and the vacated slots cleared, so dropped
+// states can be collected and the backing array is reused.
+func (l *VersionLog) Prune(horizon histories.Timestamp) {
+	if horizon == histories.TSNone {
+		return
+	}
+	i := sort.Search(len(l.versions), func(i int) bool { return l.versions[i].TS >= horizon })
+	if i <= 1 {
+		return
+	}
+	n := copy(l.versions, l.versions[i-1:])
+	clear(l.versions[n:])
+	l.versions = l.versions[:n]
 }
 
 // Len returns the number of versions.

@@ -21,12 +21,13 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"weihl83/internal/adts"
 	"weihl83/internal/cc"
-	"weihl83/internal/conflict"
 	"weihl83/internal/ccrt"
+	"weihl83/internal/conflict"
 	"weihl83/internal/core"
 	"weihl83/internal/dist"
 	"weihl83/internal/fault"
@@ -120,7 +121,7 @@ type Config struct {
 	// one site from the rest for PartitionWindow.
 	ReplicaPartitionProb float64
 	// AuditWorkers is the number of concurrent snapshot-audit clients in
-	// replication mode (default 2).
+	// replication mode and in hybrid runs (default 2).
 	AuditWorkers int
 }
 
@@ -138,13 +139,11 @@ func (c *Config) fill() {
 	if c.Churn && c.ChurnEvery <= 0 {
 		c.ChurnEvery = 300 * time.Microsecond
 	}
-	if c.Replication {
-		if c.ReplicationFactor <= 0 {
-			c.ReplicationFactor = 3
-		}
-		if c.AuditWorkers <= 0 {
-			c.AuditWorkers = 2
-		}
+	if c.Replication && c.ReplicationFactor <= 0 {
+		c.ReplicationFactor = 3
+	}
+	if (c.Replication || c.Property == tx.Hybrid) && c.AuditWorkers <= 0 {
+		c.AuditWorkers = 2
 	}
 	if c.Delay <= 0 {
 		c.Delay = 50 * time.Microsecond
@@ -175,8 +174,9 @@ type Report struct {
 	// atomicity checker's verdict on it (empty = passed).
 	Events   int
 	CheckErr string
-	// Audits counts completed snapshot audits and Converged reports the
-	// follower-equals-leader oracle (replication mode only).
+	// Audits counts completed snapshot audits (replication mode and hybrid
+	// runs); Converged reports the follower-equals-leader oracle
+	// (replication mode only).
 	Audits    int64
 	Converged bool
 	// Trace is the injector's activation trace; Injector its summary.
@@ -319,12 +319,73 @@ func seedWorkload(ctx context.Context, cfg Config, m *tx.Manager) error {
 	return nil
 }
 
-// runWorkers seeds acct0 and runs the concurrent transfer workload.
-func runWorkers(ctx context.Context, cfg Config, m *tx.Manager) error {
+// audit reads both account balances in one read-only transaction.
+func audit(ctx context.Context, m *tx.Manager) (b0, b1 int64, err error) {
+	err = m.RunReadOnlyCtx(ctx, func(txn *tx.Txn) error {
+		v0, err := txn.Invoke("acct0", adts.OpBalance, value.Nil())
+		if err != nil {
+			return err
+		}
+		v1, err := txn.Invoke("acct1", adts.OpBalance, value.Nil())
+		if err != nil {
+			return err
+		}
+		b0, b1 = v0.MustInt(), v1.MustInt()
+		return nil
+	})
+	return b0, b1, err
+}
+
+// runWorkers seeds acct0 and runs the concurrent transfer workload. Under
+// hybrid atomicity cfg.AuditWorkers snapshot auditors run beside the
+// transfers until they finish, so the recorded history holds snapshot
+// reads served from version logs pruned under them. A hybrid audit never
+// aborts and must see the seeded total; either failure fails the run. It
+// returns the number of completed audits.
+func runWorkers(ctx context.Context, cfg Config, m *tx.Manager) (int64, error) {
 	if err := seedWorkload(ctx, cfg, m); err != nil {
-		return err
+		return 0, err
 	}
-	return runTransfers(ctx, cfg, m)
+	if cfg.Property != tx.Hybrid {
+		return 0, runTransfers(ctx, cfg, m)
+	}
+	total := int64(cfg.Workers * cfg.Txns * perTransfer)
+	done := make(chan struct{})
+	errs := make(chan error, cfg.AuditWorkers)
+	var audits atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.AuditWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				b0, b1, err := audit(ctx, m)
+				if err == nil && b0+b1 != total {
+					err = fmt.Errorf("snapshot not atomic: acct0=%d acct1=%d sum=%d, want %d", b0, b1, b0+b1, total)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("chaos: audit: %w", err)
+					return
+				}
+				audits.Add(1)
+			}
+		}()
+	}
+	err := runTransfers(ctx, cfg, m)
+	close(done)
+	wg.Wait()
+	close(errs)
+	for auditErr := range errs {
+		if err == nil {
+			err = auditErr
+		}
+	}
+	return audits.Load(), err
 }
 
 // runTransfers runs the concurrent transfer workload.
@@ -681,9 +742,9 @@ func runLocal(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	m := sys.Manager
 
-	workErr := runWorkers(ctx, cfg, m)
+	audits, workErr := runWorkers(ctx, cfg, m)
 
-	rep := &Report{Property: cfg.Property, Seed: cfg.Seed, Trace: inj.Trace(), Injector: inj.Summary()}
+	rep := &Report{Property: cfg.Property, Seed: cfg.Seed, Trace: inj.Trace(), Injector: inj.Summary(), Audits: audits}
 	rep.Commits, rep.Aborts = m.Stats()
 	h := m.History()
 	rep.Events = len(h)

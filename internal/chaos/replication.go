@@ -17,7 +17,6 @@ import (
 	"weihl83/internal/histories"
 	"weihl83/internal/locking"
 	"weihl83/internal/tx"
-	"weihl83/internal/value"
 )
 
 // runReplication is the replica-group mode: four sites behind a placement
@@ -247,19 +246,7 @@ func runReplication(ctx context.Context, cfg Config) (*Report, error) {
 						return
 					default:
 					}
-					var b0, b1 int64
-					err := m.RunReadOnlyCtx(ctx, func(txn *tx.Txn) error {
-						v0, err := txn.Invoke("acct0", adts.OpBalance, value.Nil())
-						if err != nil {
-							return err
-						}
-						v1, err := txn.Invoke("acct1", adts.OpBalance, value.Nil())
-						if err != nil {
-							return err
-						}
-						b0, b1 = v0.MustInt(), v1.MustInt()
-						return nil
-					})
+					b0, b1, err := audit(ctx, m)
 					if err != nil {
 						continue // run ending or retries exhausted; not a verdict
 					}

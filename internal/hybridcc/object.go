@@ -6,6 +6,12 @@
 // read-only transactions choose a timestamp at initiation and compute every
 // query from the log prefix below their timestamp — without acquiring
 // locks, without ever aborting, and without delaying any update.
+//
+// Versions are discarded below the read horizon: each update commit carries
+// (in cc.TxnInfo.Horizon) a timestamp at or below every read-only activity
+// still in flight, and the object keeps only the newest version below it
+// and the versions after it. A log therefore holds what the readers in
+// flight can see, not every version ever committed.
 package hybridcc
 
 import (
@@ -28,11 +34,10 @@ import (
 // the inner locking object (whose conflicts land under
 // cc.locking.conflicts). A read-only wait is the hybrid protocol's own
 // conflict event — a query stalled behind a prepared update — so it is
-// counted under the uniform cc.<protocol>.conflicts scheme, with the
-// historical hybrid.rowaits name kept as an alias for one release.
+// counted under the uniform cc.<protocol>.conflicts scheme.
 var (
 	obsQueries  = obs.Default.Counter("hybrid.queries")
-	obsROWaits  = obs.Default.AliasCounter("hybrid.rowaits", "cc.hybrid.conflicts")
+	obsROWaits  = obs.Default.Counter("cc.hybrid.conflicts")
 	obsWaitLat  = obs.Default.Histogram("hybrid.wait_ns")
 	obsVersions = obs.Default.Histogram("hybrid.versions")
 	obsTrace    = obs.Default.Tracer()
@@ -132,6 +137,13 @@ func (o *Object) Stats() (queries, roWaits int64) {
 	return o.queries, o.roWaits
 }
 
+// Versions returns the number of committed versions the object holds.
+func (o *Object) Versions() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.versions.Len()
+}
+
 // changed wakes every blocked read-only query: the prepared set shrank, so
 // any of them may now proceed. Callers must hold o.mu.
 func (o *Object) changed() {
@@ -225,7 +237,8 @@ func (o *Object) Prepare(txn *cc.TxnInfo) error {
 // Commit implements cc.Resource. For updates, ts must be the commit
 // timestamp issued by the shared clock; the caller (the transaction
 // runtime) serialises commits so that versions arrive in ascending
-// timestamp order.
+// timestamp order. The new version is appended and the log pruned at the
+// update's read horizon (txn.Horizon).
 func (o *Object) Commit(txn *cc.TxnInfo, ts histories.Timestamp) {
 	if txn.ReadOnly {
 		o.mu.Lock()
@@ -249,6 +262,7 @@ func (o *Object) Commit(txn *cc.TxnInfo, ts histories.Timestamp) {
 		} else if err := o.versions.Append(ts, st); err != nil {
 			o.corrupt(fmt.Errorf("hybridcc: at %s: %w", o.id, err))
 		} else {
+			o.versions.Prune(txn.Horizon)
 			obsVersions.Observe(int64(o.versions.Len()))
 		}
 	}

@@ -240,6 +240,14 @@ type Manager struct {
 	// write-ahead logging or coordinator decision in between.
 	installSeq ccrt.Sequencer
 
+	// readers is the set of hybrid read-only transactions in flight,
+	// guarded by installSeq's lock. A reader draws its snapshot timestamp
+	// and joins in one ticketless section, so every commit timestamp drawn
+	// under ReserveWith either exceeds the reader's or sees it in the set;
+	// the commit's read horizon (cc.TxnInfo.Horizon) can therefore never
+	// pass a reader that may still read.
+	readers readerSet
+
 	// wal batches concurrent commit-record groups into single
 	// stable-storage appends (group commit); nil without a WAL.
 	wal *walGroup
@@ -373,7 +381,10 @@ func (m *Manager) begin(readOnly bool) *Txn {
 		t.info.TS = m.cfg.Clock.Next()
 	case Hybrid:
 		if readOnly {
-			t.info.TS = m.cfg.Clock.Next()
+			m.installSeq.Do(func() {
+				t.info.TS = m.cfg.Clock.Next()
+				m.readers.add(t.info.TS)
+			})
 			t.info.ReadOnly = true
 		}
 	}
@@ -512,11 +523,16 @@ func (t *Txn) Commit() error {
 	// invariant the old global commit mutex provided by serializing the
 	// whole section. Logging and the coordinator decision run OUTSIDE the
 	// ordered region; any exit before installation must Abandon the ticket.
+	// The read horizon is taken in the same step: every reader not yet in
+	// the set will draw a timestamp above cts.
 	var cts histories.Timestamp
 	var ticket ccrt.Ticket
 	hasTicket := false
 	if t.m.cfg.Property == Hybrid && !t.info.ReadOnly {
-		ticket = t.m.installSeq.ReserveWith(func() { cts = t.m.cfg.Clock.Next() })
+		ticket = t.m.installSeq.ReserveWith(func() {
+			cts = t.m.cfg.Clock.Next()
+			t.info.Horizon = t.m.readers.horizon(cts)
+		})
 		hasTicket = true
 	}
 	abandon := func() {
@@ -525,7 +541,9 @@ func (t *Txn) Commit() error {
 			hasTicket = false
 		}
 	}
-	if t.m.wal != nil {
+	// A hybrid snapshot reader logs nothing: it holds no intentions and
+	// changes no state, so it never waits for (or fails on) the log.
+	if t.m.wal != nil && !t.info.ReadOnly {
 		// A failed (or torn) log write before the commit record aborts the
 		// transaction: the commit record is the atomic commit point, and
 		// nothing before it may be considered durable. Already-appended
@@ -612,7 +630,7 @@ func (t *Txn) Abort() {
 	if t.began2pc {
 		_ = t.m.cfg.Coordinator.Decide(t.info.ID, false)
 	}
-	if disk := t.m.cfg.WAL; disk != nil {
+	if disk := t.m.cfg.WAL; disk != nil && !t.info.ReadOnly {
 		// A failed abort-record append is ignored: restart presumes abort
 		// for transactions without a commit record.
 		_ = disk.Append(recovery.Record{Kind: recovery.RecordAbort, Txn: t.info.ID})
@@ -632,6 +650,9 @@ func (t *Txn) Abort() {
 
 func (t *Txn) finish(s Status) {
 	t.status = s
+	if t.info.ReadOnly {
+		t.m.installSeq.Do(func() { t.m.readers.finish(t.info.TS) })
+	}
 	if t.m.cfg.Detector != nil {
 		t.m.cfg.Detector.Forget(t.info.ID)
 	}

@@ -139,6 +139,30 @@ func TestHybridWithWAL(t *testing.T) {
 	}
 }
 
+// TestHybridReaderLogsNothing: a snapshot reader holds no intentions, so
+// its commit and its abort leave the write-ahead log untouched.
+func TestHybridReaderLogsNothing(t *testing.T) {
+	disk := &recovery.Disk{}
+	m := newHybridSystemWAL(t, disk)
+	if err := m.Run(func(txn *tx.Txn) error {
+		_, err := txn.Invoke("acct1", adts.OpDeposit, value.Int(25))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := len(disk.Records())
+	if err := m.RunReadOnly(func(txn *tx.Txn) error {
+		_, err := txn.Invoke("acct1", adts.OpBalance, value.Nil())
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m.BeginReadOnly().Abort()
+	if after := len(disk.Records()); after != before {
+		t.Errorf("readers appended %d log records, want none: %+v", after-before, disk.Records()[before:])
+	}
+}
+
 func TestBeginAssignsDistinctIDs(t *testing.T) {
 	m, _ := newDynamicSystem(t, nil)
 	a, b := m.Begin(), m.Begin()
