@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race chaos chaos-smoke chaos-churn chaos-replication hybrid-horizon check bench-smoke bench-hotpath bench-guardcascade bench-service bench-service-full bench-shard bench-shard-full bench-durable bench-durable-full bench-replication bench-replication-full fuzz-smoke clean
+.PHONY: all build vet staticcheck test race chaos chaos-smoke chaos-churn chaos-replication hybrid-horizon dist-replycache check bench-smoke bench-hotpath bench-guardcascade bench-service bench-service-full bench-shard bench-shard-full bench-durable bench-durable-full bench-replication bench-replication-full fuzz-smoke clean
 
 all: check
 
@@ -75,6 +75,13 @@ chaos-replication:
 # only rarely, so one pass is not enough to catch it.
 hybrid-horizon:
 	$(GO) test -race -count=20 -run 'Horizon' ./internal/tx ./internal/ccrt
+
+# dist-replycache repeats the site's per-message bookkeeping tests under
+# the race detector: reply-cache eviction (decided entries leave
+# oldest-first, undecided ones stay pinned, inserts do not allocate) and
+# the sync barrier that a delivery's completion wakes.
+dist-replycache:
+	$(GO) test -race -count=20 -run 'ReplyCache|SyncBarrier' ./internal/dist
 
 # bench-smoke compiles and exercises every benchmark once and produces a
 # machine-readable bankbench result at a tiny scale — a fast regression

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -94,13 +95,15 @@ const defaultDrainTimeout = 250 * time.Millisecond
 // is distinct from the client transaction's own id, so the delivery's WAL
 // records at a site that is both a 2PC participant and a follower (possible
 // after migrations) never collide with the transaction's prepare half.
+// Both ids are logged and rebuilt into the decided cache at recovery, so
+// their spelling is part of the on-disk format.
 func replRID(txn histories.ActivityID, obj histories.ObjectID) histories.ActivityID {
-	return histories.ActivityID(fmt.Sprintf("repl!%s!%s", txn, obj))
+	return histories.ActivityID("repl!" + string(txn) + "!" + string(obj))
 }
 
 // replSeedRID is the id a baseline seed logs under.
 func replSeedRID(obj histories.ObjectID, ts histories.Timestamp) histories.ActivityID {
-	return histories.ActivityID(fmt.Sprintf("repl-seed!%s!%d", obj, ts))
+	return histories.ActivityID("repl-seed!" + string(obj) + "!" + strconv.FormatInt(int64(ts), 10))
 }
 
 // --- follower-side state and handlers ------------------------------------
@@ -214,7 +217,9 @@ func (s *Site) handleReplicaSeed(req replSeedReq) (struct{}, error) {
 	}
 	s.mu.Unlock()
 	obsReplSeeds.Inc()
-	debugTrace("repl-seed %s@%s ts=%d base=%s", req.Obj, s.id, req.TS, req.State.Key())
+	if obsSiteTrace.Enabled() {
+		obsSiteTrace.Record(obs.TraceEvent{Kind: obs.KindDeliver, Txn: string(rid), Obj: string(req.Obj), Site: string(s.id), Note: "seed"})
+	}
 	return struct{}{}, nil
 }
 
@@ -309,8 +314,11 @@ func (s *Site) handleReplicaApply(req replApplyReq) (struct{}, error) {
 	}
 	s.mu.Unlock()
 	obsReplDeliveries.Inc()
-	obsReplApplyLat.Observe(int64(time.Since(start)))
-	debugTrace("repl-apply %s@%s ts=%d -> %s", rid, s.id, req.TS, st.Key())
+	lat := time.Since(start)
+	obsReplApplyLat.Observe(int64(lat))
+	if obsSiteTrace.Enabled() {
+		obsSiteTrace.Record(obs.TraceEvent{Kind: obs.KindDeliver, Txn: string(rid), Obj: string(req.Obj), Site: string(s.id), Note: "apply", Dur: lat})
+	}
 	return struct{}{}, nil
 }
 
@@ -459,7 +467,9 @@ type replTxn struct {
 // replicator is the cluster's replication control plane: routes, the stamp
 // clock, per-follower delivery queues, the in-flight transaction set the
 // stable timestamp is derived from, and the per-object pending counts the
-// sync barrier drains.
+// sync barrier drains. pendingByObj holds only objects with deliveries in
+// flight: an entry is deleted when its count reaches zero, which closes the
+// object's drained channel and wakes every barrier blocked on it.
 type replicator struct {
 	c            *Cluster
 	factor       int
@@ -472,6 +482,8 @@ type replicator struct {
 	txns         map[histories.ActivityID]*replTxn
 	queues       map[SiteID]*replQueue
 	pendingByObj map[histories.ObjectID]int
+	drained      map[histories.ObjectID]chan struct{} // closed when the object's pending count reaches zero
+	idle         chan struct{}                        // closed when nothing is pending or in flight
 	readPins     map[histories.ActivityID]histories.Timestamp
 	readRR       int
 	closed       bool
@@ -554,6 +566,7 @@ func (q *replQueue) run() {
 		q.mu.Unlock()
 		q.process(it)
 		q.mu.Lock()
+		q.items[0] = replItem{} // release the calls and seed baseline
 		q.items = q.items[1:]
 		q.mu.Unlock()
 		q.rep.completed(it)
@@ -625,7 +638,9 @@ func (q *replQueue) process(it replItem) {
 		// cannot ever stick. Dropping it keeps the queue live; the error
 		// counter and the convergence oracle make the loss visible.
 		obsReplApplyErrors.Inc()
-		debugTrace("repl-drop %s@%s: %v", it.obj, q.site, err)
+		if obsSiteTrace.Enabled() {
+			obsSiteTrace.Record(obs.TraceEvent{Kind: obs.KindDeliver, Txn: string(it.txn), Obj: string(it.obj), Site: string(q.site), Note: "drop: " + err.Error()})
+		}
 		return
 	}
 }
@@ -634,8 +649,14 @@ func (q *replQueue) process(it replItem) {
 // drain waiting on its object.
 func (rep *replicator) completed(it replItem) {
 	rep.mu.Lock()
-	if rep.pendingByObj[it.obj] > 0 {
-		rep.pendingByObj[it.obj]--
+	if n := rep.pendingByObj[it.obj]; n > 1 {
+		rep.pendingByObj[it.obj] = n - 1
+	} else {
+		delete(rep.pendingByObj, it.obj)
+		if ch := rep.drained[it.obj]; ch != nil {
+			close(ch)
+			delete(rep.drained, it.obj)
+		}
 	}
 	if it.kind == replDeliver {
 		if tx := rep.txns[it.txn]; tx != nil {
@@ -645,7 +666,18 @@ func (rep *replicator) completed(it replItem) {
 			}
 		}
 	}
+	rep.wakeIdleLocked()
 	rep.mu.Unlock()
+}
+
+// wakeIdleLocked releases drainAll's waiters once no delivery is pending
+// and no transaction is in flight. Called with rep.mu held after either
+// set shrinks.
+func (rep *replicator) wakeIdleLocked() {
+	if rep.idle != nil && len(rep.pendingByObj) == 0 && len(rep.txns) == 0 {
+		close(rep.idle)
+		rep.idle = nil
+	}
 }
 
 // queueFor returns (creating if needed) the follower's delivery queue.
@@ -732,6 +764,7 @@ func (rep *replicator) ship(txn histories.ActivityID) {
 	}
 	if tx.outstanding == 0 {
 		delete(rep.txns, txn)
+		rep.wakeIdleLocked()
 	}
 }
 
@@ -742,6 +775,7 @@ func (rep *replicator) forget(txn histories.ActivityID) {
 	rep.mu.Lock()
 	if tx := rep.txns[txn]; tx != nil && tx.ts == 0 {
 		delete(rep.txns, txn)
+		rep.wakeIdleLocked()
 	}
 	delete(rep.readPins, txn)
 	rep.mu.Unlock()
@@ -768,45 +802,68 @@ func (rep *replicator) stableTSLocked() histories.Timestamp {
 
 // drainObject waits until obj has no in-flight deliveries, refusing
 // retryably at the drain timeout (a follower may be down; blocking 2PC on
-// it would couple the leader's availability to every follower's).
+// it would couple the leader's availability to every follower's). The wait
+// is a wake-up, not a poll: completed closes the object's drained channel
+// as its last in-flight delivery applies.
 func (rep *replicator) drainObject(obj histories.ObjectID) error {
 	obsReplDrains.Inc()
-	deadline := time.Now().Add(rep.drainTimeout)
-	for {
-		rep.mu.Lock()
-		pending := rep.pendingByObj[obj]
+	rep.mu.Lock()
+	if rep.pendingByObj[obj] == 0 {
 		rep.mu.Unlock()
-		if pending == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			obsReplDrainTimeouts.Inc()
-			return fmt.Errorf("dist: sync barrier on %s timed out with %d deliveries in flight: %w", obj, pending, cc.ErrUnavailable)
-		}
-		time.Sleep(100 * time.Microsecond)
+		return nil
 	}
+	ch := rep.drained[obj]
+	if ch == nil {
+		ch = make(chan struct{})
+		rep.drained[obj] = ch
+	}
+	rep.mu.Unlock()
+	if closedWithin(ch, rep.drainTimeout) {
+		return nil
+	}
+	rep.mu.Lock()
+	pending := rep.pendingByObj[obj]
+	rep.mu.Unlock()
+	obsReplDrainTimeouts.Inc()
+	return fmt.Errorf("dist: sync barrier on %s timed out with %d deliveries in flight: %w", obj, pending, cc.ErrUnavailable)
 }
 
 // drainAll waits until every queue is empty and every transaction's
 // deliveries have applied — replication convergence, for oracles and
-// benchmarks.
+// benchmarks. Like drainObject it sleeps until woken (wakeIdleLocked).
 func (rep *replicator) drainAll(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		rep.mu.Lock()
-		pending := 0
-		for _, n := range rep.pendingByObj {
-			pending += n
-		}
-		inflight := len(rep.txns)
+	rep.mu.Lock()
+	if len(rep.pendingByObj) == 0 && len(rep.txns) == 0 {
 		rep.mu.Unlock()
-		if pending == 0 && inflight == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("dist: replication drain timed out (%d deliveries, %d transactions in flight): %w", pending, inflight, cc.ErrUnavailable)
-		}
-		time.Sleep(200 * time.Microsecond)
+		return nil
+	}
+	if rep.idle == nil {
+		rep.idle = make(chan struct{})
+	}
+	idle := rep.idle
+	rep.mu.Unlock()
+	if closedWithin(idle, timeout) {
+		return nil
+	}
+	rep.mu.Lock()
+	pending := 0
+	for _, n := range rep.pendingByObj {
+		pending += n
+	}
+	inflight := len(rep.txns)
+	rep.mu.Unlock()
+	return fmt.Errorf("dist: replication drain timed out (%d deliveries, %d transactions in flight): %w", pending, inflight, cc.ErrUnavailable)
+}
+
+// closedWithin reports whether ch is closed before d elapses.
+func closedWithin(ch <-chan struct{}, d time.Duration) bool {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-timer.C:
+		return false
 	}
 }
 
@@ -901,6 +958,7 @@ func (c *Cluster) EnableReplication(factor int) error {
 		txns:         make(map[histories.ActivityID]*replTxn),
 		queues:       make(map[SiteID]*replQueue),
 		pendingByObj: make(map[histories.ObjectID]int),
+		drained:      make(map[histories.ObjectID]chan struct{}),
 		readPins:     make(map[histories.ActivityID]histories.Timestamp),
 	}
 	objs := make([]histories.ObjectID, 0, len(c.placement))

@@ -10,9 +10,9 @@ import (
 
 	"weihl83/internal/adts"
 	"weihl83/internal/cc"
+	"weihl83/internal/conflict"
 	"weihl83/internal/fault"
 	"weihl83/internal/histories"
-	"weihl83/internal/conflict"
 	"weihl83/internal/locking"
 	"weihl83/internal/obs"
 	"weihl83/internal/recovery"
@@ -153,7 +153,9 @@ type SiteConfig struct {
 	// evicted oldest-first. Entries of still-undecided transactions are
 	// pinned (evicting one would let a retransmission re-execute its
 	// handler), so the cache can transiently exceed the cap by the number
-	// of in-flight transactions. Zero selects the default of 1024.
+	// of in-flight transactions. Eviction pops a FIFO and requeues pinned
+	// entries, so an insert costs amortised O(1) whatever the cap: the cap
+	// trades memory, not time. Zero selects the default of 1024.
 	ReplyCacheCap int
 	// Injector, when set, attaches fault injection to the site: crash
 	// windows inside the commit protocol (fault.SiteCrashPrepare,
@@ -207,7 +209,8 @@ type Site struct {
 	active     map[histories.ActivityID]*activeTxn    // volatile unprepared-invoker set
 	decided    map[histories.ActivityID]bool          // volatile outcome cache (rebuilt from log)
 	replies    map[uint64]cachedReply                 // volatile at-most-once reply cache
-	replyOrder []uint64                               // insertion order, for eviction
+	replyOrder []uint64                               // eviction FIFO of cached request ids
+	replyHead  int                                    // replyOrder[replyHead] is the oldest
 	replyCap   int
 	crashes    int64 // total crashes, for diagnostics
 
@@ -405,7 +408,7 @@ func (s *Site) Crash() {
 	s.active = nil
 	s.decided = nil
 	s.replies = nil
-	s.replyOrder = nil
+	s.replyOrder, s.replyHead = nil, 0
 	s.hosted = nil
 	s.homedAt = nil
 	s.migrating = nil
@@ -456,35 +459,40 @@ func (s *Site) cacheReply(reqID uint64, txn histories.ActivityID, v any, err err
 	if s.replies == nil {
 		return
 	}
+	if _, dup := s.replies[reqID]; !dup {
+		s.replyOrder = append(s.replyOrder, reqID)
+	}
 	s.replies[reqID] = cachedReply{txn: txn, value: v, err: err}
-	s.replyOrder = append(s.replyOrder, reqID)
 	s.evictRepliesLocked()
 }
 
-// evictRepliesLocked bounds the reply cache: oldest-first, evicting only
-// entries whose transaction has a durable outcome — their client can never
-// legitimately retransmit, while evicting an undecided entry would let a
-// retransmission re-execute its handler.
+// evictRepliesLocked bounds the reply cache. replyOrder is a FIFO of the
+// cached request ids; while the cache is over its cap the head is popped.
+// An entry whose transaction has a durable outcome is evicted — its client
+// can never legitimately retransmit. An undecided entry goes back on the
+// tail, pinned: evicting it would let a retransmission re-execute its
+// handler. One pass examines each queued id at most once, and the FIFO is
+// compacted in place once the head passes half the slice, so an insert
+// costs amortised O(1) and allocates nothing.
 func (s *Site) evictRepliesLocked() {
-	if s.replies == nil || len(s.replies) <= s.replyCap {
+	if s.replies == nil {
 		return
 	}
-	kept := make([]uint64, 0, len(s.replyOrder))
-	for _, id := range s.replyOrder {
-		r, ok := s.replies[id]
-		if !ok {
+	for n := len(s.replyOrder) - s.replyHead; n > 0 && len(s.replies) > s.replyCap; n-- {
+		id := s.replyOrder[s.replyHead]
+		s.replyHead++
+		if _, done := s.decided[s.replies[id].txn]; done {
+			delete(s.replies, id)
+			obsCacheEvicts.Inc()
 			continue
 		}
-		if len(s.replies) > s.replyCap {
-			if _, done := s.decided[r.txn]; done {
-				delete(s.replies, id)
-				obsCacheEvicts.Inc()
-				continue
-			}
-		}
-		kept = append(kept, id)
+		s.replyOrder = append(s.replyOrder, id)
 	}
-	s.replyOrder = kept
+	if s.replyHead > len(s.replyOrder)/2 {
+		n := copy(s.replyOrder, s.replyOrder[s.replyHead:])
+		s.replyOrder = s.replyOrder[:n]
+		s.replyHead = 0
+	}
 }
 
 // Checkpoint snapshots the site's committed states into its write-ahead
@@ -613,7 +621,7 @@ func (s *Site) Recover() error {
 			return fmt.Errorf("dist: recovering %s: %w", s.id, err)
 		}
 		obs.Default.Counter("dist.indoubt.resolved." + res.path).Inc()
-		debugTrace("recover-resolve %s@%s commit=%v path=%s objs=%v", res.d.txn, s.id, res.commit, res.path, res.d.objects)
+		traceResolve(s.id, res.d.txn, res.commit, res.path)
 		if res.commit {
 			obsInDoubtCommits.Inc()
 			// The transaction is durably committed (coordinator or peer
@@ -661,7 +669,7 @@ func (s *Site) Recover() error {
 	s.prepared = make(map[histories.ActivityID]*preparedTxn)
 	s.active = make(map[histories.ActivityID]*activeTxn)
 	s.replies = make(map[uint64]cachedReply)
-	s.replyOrder = nil
+	s.replyOrder, s.replyHead = nil, 0
 	s.decided = make(map[histories.ActivityID]bool)
 	for _, r := range s.disk.Records() {
 		if r.Torn {
@@ -726,11 +734,6 @@ func (s *Site) Recover() error {
 			typ:      s.types[id],
 			floor:    marks[id],
 			versions: []replicaVersion{{ts: marks[id], state: st}},
-		}
-	}
-	if debugTraceOn {
-		for id, o := range s.objects {
-			debugTrace("rebuilt %s@%s -> %s", id, s.id, o.Base().Key())
 		}
 	}
 	s.up = true
@@ -971,7 +974,6 @@ func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int
 		p.objects[obj] = true
 	}
 	s.mu.Unlock()
-	debugTrace("prepare %s %s@%s", txn.ID, obj, s.id)
 	return nil
 }
 
@@ -1016,7 +1018,6 @@ func (s *Site) handleCommit(obj histories.ObjectID, txn *cc.TxnInfo) error {
 	}
 	o.Commit(txn, histories.TSNone)
 	s.outcomeApplied(txn.ID, obj, true)
-	debugTrace("commit %s %s@%s -> %s", txn.ID, obj, s.id, o.Base().Key())
 	return nil
 }
 
@@ -1029,7 +1030,6 @@ func (s *Site) handleAbort(obj histories.ObjectID, txn *cc.TxnInfo) error {
 	_ = s.disk.Append(recovery.Record{Kind: recovery.RecordAbort, Txn: txn.ID})
 	o.Abort(txn)
 	s.outcomeApplied(txn.ID, obj, false)
-	debugTrace("abort %s %s@%s -> %s", txn.ID, obj, s.id, o.Base().Key())
 	return nil
 }
 
@@ -1098,7 +1098,9 @@ func (s *Site) handleMigrateExport(obj histories.ObjectID, txn *cc.TxnInfo) (mig
 		s.mu.Unlock()
 		return migExport{}, err
 	}
-	debugTrace("export %s %s@%s base=%s", txn.ID, obj, s.id, o.Base().Key())
+	if obsSiteTrace.Enabled() {
+		obsSiteTrace.Record(obs.TraceEvent{Kind: obs.KindMigrate, Txn: string(txn.ID), Obj: string(obj), Site: string(s.id), Note: "export"})
+	}
 	return migExport{State: o.Base(), Type: typ, Guard: guard}, nil
 }
 
@@ -1368,7 +1370,9 @@ func (s *Site) applyMigrateOutcomeLocked(txn histories.ActivityID, obj histories
 		if o, err := s.buildObject(obj, sm.staged.typ, s.guards[obj], sm.staged.state); err == nil {
 			s.objects[obj] = o
 		}
-		debugTrace("adopt %s %s@%s ringv=%d base=%s", txn, obj, s.id, sm.ringv, sm.staged.state.Key())
+		if obsSiteTrace.Enabled() {
+			obsSiteTrace.Record(obs.TraceEvent{Kind: obs.KindMigrate, Txn: string(txn), Obj: string(obj), Site: string(s.id), Note: "adopt"})
+		}
 		s.hosted[obj] = true
 		s.homedAt[obj] = sm.ringv
 		if m := s.staged[txn]; m != nil {
@@ -1519,14 +1523,4 @@ func keysOf(m map[histories.ObjectID]spec.State) []histories.ObjectID {
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
-}
-
-// debugTrace prints migration/commit state-transition traces to stderr when
-// DIST_DEBUG_TRACE is set (diagnostic aid for chaos-failure triage).
-var debugTraceOn = os.Getenv("DIST_DEBUG_TRACE") != ""
-
-func debugTrace(format string, args ...any) {
-	if debugTraceOn {
-		fmt.Fprintf(os.Stderr, "TRACE "+format+"\n", args...)
-	}
 }

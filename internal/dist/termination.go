@@ -323,7 +323,7 @@ func (s *Site) applyOutcome(txn histories.ActivityID, commit bool, path string) 
 			o.Abort(info)
 		}
 	}
-	debugTrace("resolve %s@%s commit=%v path=%s objs=%v", txn, s.id, commit, path, ids)
+	traceResolve(s.id, txn, commit, path)
 	if det != nil {
 		det.Forget(txn)
 	}
@@ -336,6 +336,20 @@ func (s *Site) applyOutcome(txn histories.ActivityID, commit bool, path string) 
 		obsResolvedPresume.Inc()
 	}
 	return true
+}
+
+// traceResolve records an in-doubt transaction settled at a site, by the
+// resolver or by recovery. The runtime's own commit and abort events never
+// cover it: the client that ran the transaction is gone or gave up.
+func traceResolve(site SiteID, txn histories.ActivityID, commit bool, path string) {
+	if !obsSiteTrace.Enabled() {
+		return
+	}
+	note := "abort via " + path
+	if commit {
+		note = "commit via " + path
+	}
+	obsSiteTrace.Record(obs.TraceEvent{Kind: obs.KindResolve, Txn: string(txn), Site: string(site), Note: note})
 }
 
 // PendingInDoubt returns how many transactions are prepared at this site

@@ -43,6 +43,15 @@ const (
 	KindCrash Kind = "crash"
 	// KindRecover: a site recovered; Site names it.
 	KindRecover Kind = "recover"
+	// KindResolve: a site settled an in-doubt transaction without its
+	// client; Note is the outcome and how it was learned.
+	KindResolve Kind = "resolve"
+	// KindMigrate: one half of a shard migration at Site; Note is
+	// "export" (source frozen and copied) or "adopt" (destination hosts).
+	KindMigrate Kind = "migrate"
+	// KindDeliver: a replica delivery at follower Site; Note is "seed",
+	// "apply" (Dur is the apply latency) or "drop" with the cause.
+	KindDeliver Kind = "deliver"
 )
 
 // TraceEvent is one entry in the tracer's ring. At is a monotonic offset
